@@ -1,38 +1,46 @@
 """Parallel experiment runner with a persistent on-disk result cache.
 
-Every paper figure is an average over many independent ``(workload, setup,
-mapping, seed)`` simulations. This module gives the benchmark suite, the
-examples, and the CLI one shared way to run those sweeps:
+Every paper figure is an average over many independent jobs: timing
+simulations (:class:`Job`), batched Monte-Carlo attack replays
+(:class:`SecurityJob`) and threshold-campaign cells
+(:class:`~repro.security.campaign.CampaignJob`). Each is a *job kind*
+(:class:`JobKind`, registered in :data:`JOB_KINDS`) that says how its jobs
+are keyed, executed, cached and encoded for the wire; everything else is
+shared. This module gives the benchmark suite, the examples, the CLI and
+the sweep daemon one way to run them:
 
-* **Parallel fan-out** — :meth:`ExperimentRunner.run_many` distributes
-  independent simulations across a :class:`~concurrent.futures.\
-ProcessPoolExecutor`. The worker count comes from ``REPRO_JOBS`` (default
-  ``os.cpu_count()``); ``REPRO_JOBS=1`` keeps everything in-process, which
-  is the right mode for debugging and for pdb/profiling sessions.
+* **Parallel fan-out** — :meth:`ExperimentRunner.run_jobs` deduplicates a
+  batch of any kinds by cache key and distributes the misses across a
+  :class:`~concurrent.futures.ProcessPoolExecutor`. The worker count
+  comes from ``REPRO_JOBS`` (default ``os.cpu_count()``);
+  ``REPRO_JOBS=1`` keeps everything in-process, which is the right mode
+  for debugging and for pdb/profiling sessions.
 * **Persistent caching** — results are stored as JSON under
   ``benchmarks/results/.cache/`` (override with ``REPRO_CACHE_DIR``,
   disable with ``REPRO_CACHE=0``), keyed by a stable SHA-256 hash of the
-  workload, :class:`~repro.mc.setup.MitigationSetup`,
-  :class:`~repro.sim.config.SystemConfig`, mapping, request count, seed,
-  and a schema version. Bumping :data:`CACHE_SCHEMA_VERSION` invalidates
-  every stale entry at once.
+  job's full input and a schema version. Bumping
+  :data:`CACHE_SCHEMA_VERSION` invalidates every stale entry at once.
 
-Determinism: a simulation is a pure function of its job description — each
-worker builds its own :class:`~repro.sim.engine.Engine` and
+Determinism: a job is a pure function of its description — each worker
+builds its own :class:`~repro.sim.engine.Engine` and
 :class:`~repro.sim.rng.RngStreams` from the job seed — so parallel results
-are bit-identical to serial results, and ``run_many`` preserves job order.
+are bit-identical to serial results, and ``run_jobs`` preserves job order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import tempfile
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.cpu.system import MAPPINGS, SimulationResult, simulate
 from repro.mc.setup import MitigationSetup
@@ -52,9 +60,8 @@ from repro.workloads.rate import make_rate_traces
 #: like straight ones), which moved the sampling points of observed runs.
 CACHE_SCHEMA_VERSION = 2
 
-#: Schema version of the *job wire format* — the plain-JSON form a
-#: :class:`Job` / :class:`SecurityJob` takes when it travels out of
-#: process (to the ``repro.svc`` sweep daemon, or any other scheduler).
+#: Schema version of the *job wire format* — the plain-JSON form a job
+#: of any kind takes when it travels out of process (to the ``repro.svc`` sweep daemon, or any other scheduler).
 #: Distinct from :data:`CACHE_SCHEMA_VERSION` on purpose: the cache
 #: schema names result *artifacts*, the wire schema names job
 #: *descriptions*. Bump whenever a field changes meaning in a way an old
@@ -210,135 +217,6 @@ def result_from_dict(data: dict) -> SimulationResult:
     )
 
 
-# ----------------------------------------------------------------------
-# Job wire format — jobs as explicit, versioned JSON payloads.
-#
-# The sweep-service daemon (``repro.svc``) receives job descriptions from
-# arbitrary clients over a socket; those payloads must be self-describing
-# (``kind`` + ``schema``) and must round-trip through JSON losslessly, so
-# a daemon-executed job computes the *same cache key* as an in-process
-# one. The differential suite in tests/test_svc_service.py rests on that.
-# ----------------------------------------------------------------------
-def _check_wire(data: dict, kind: str) -> None:
-    if not isinstance(data, dict):
-        raise ValueError(f"job wire payload must be an object, got {type(data).__name__}")
-    if data.get("kind") != kind:
-        raise ValueError(f"expected a {kind!r} job payload, got kind={data.get('kind')!r}")
-    schema = data.get("schema")
-    if schema != JOB_WIRE_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported job wire schema {schema!r} "
-            f"(this build speaks {JOB_WIRE_SCHEMA_VERSION})"
-        )
-
-
-def job_to_wire(job: Job) -> dict:
-    """Versioned plain-JSON form of a simulation :class:`Job`."""
-    return {
-        "kind": "sim",
-        "schema": JOB_WIRE_SCHEMA_VERSION,
-        "workload": job.workload,
-        "setup": dataclasses.asdict(job.setup),
-        "mapping": job.mapping,
-        "requests": job.requests,
-        "seed": job.seed,
-        "obs": dataclasses.asdict(job.obs) if job.obs is not None else None,
-        "segment_cycles": job.segment_cycles,
-        "backend": job.backend,
-    }
-
-
-def job_from_wire(data: dict) -> Job:
-    """Inverse of :func:`job_to_wire`; validates kind and schema version."""
-    _check_wire(data, "sim")
-    obs = data.get("obs")
-    return Job(
-        workload=data["workload"],
-        setup=MitigationSetup(**data["setup"]),
-        mapping=data["mapping"],
-        requests=data.get("requests"),
-        seed=data.get("seed", DEFAULT_SEED),
-        obs=ObsConfig(**obs) if obs is not None else None,
-        segment_cycles=data.get("segment_cycles"),
-        backend=data.get("backend", "scalar"),
-    )
-
-
-def security_job_to_wire(job: "SecurityJob") -> dict:
-    """Versioned plain-JSON form of a :class:`SecurityJob`."""
-    fields = dataclasses.asdict(job)
-    fields["rows"] = list(job.rows)
-    fields["scenario_params"] = [list(p) for p in job.scenario_params]
-    fields.update(kind="security", schema=JOB_WIRE_SCHEMA_VERSION)
-    return fields
-
-
-def security_job_from_wire(data: dict) -> "SecurityJob":
-    """Inverse of :func:`security_job_to_wire`."""
-    _check_wire(data, "security")
-    fields = {
-        k: v for k, v in data.items() if k not in ("kind", "schema")
-    }
-    unknown = set(fields) - {f.name for f in dataclasses.fields(SecurityJob)}
-    if unknown:
-        raise ValueError(f"unknown SecurityJob wire fields: {sorted(unknown)}")
-    fields["rows"] = tuple(fields.get("rows", ()))
-    fields["scenario_params"] = tuple(
-        (str(name), int(value))
-        for name, value in fields.get("scenario_params", ())
-    )
-    return SecurityJob(**fields)
-
-
-def campaign_job_to_wire(job: "CampaignJob") -> dict:
-    """Versioned plain-JSON form of a threshold-campaign cell job."""
-    fields = dataclasses.asdict(job)
-    fields["rows"] = list(job.rows)
-    fields["scenario_params"] = [list(p) for p in job.scenario_params]
-    fields.update(kind="campaign", schema=JOB_WIRE_SCHEMA_VERSION)
-    return fields
-
-
-def campaign_job_from_wire(data: dict) -> "CampaignJob":
-    """Inverse of :func:`campaign_job_to_wire`."""
-    _check_wire(data, "campaign")
-    fields = {
-        k: v for k, v in data.items() if k not in ("kind", "schema")
-    }
-    unknown = set(fields) - {f.name for f in dataclasses.fields(CampaignJob)}
-    if unknown:
-        raise ValueError(f"unknown CampaignJob wire fields: {sorted(unknown)}")
-    fields["rows"] = tuple(fields.get("rows", ()))
-    fields["scenario_params"] = tuple(
-        (str(name), int(value))
-        for name, value in fields.get("scenario_params", ())
-    )
-    return CampaignJob(**fields)
-
-
-def any_job_to_wire(job: Union[Job, "SecurityJob", "CampaignJob"]) -> dict:
-    """Wire form of any job flavour (dispatch on the dataclass)."""
-    if isinstance(job, Job):
-        return job_to_wire(job)
-    if isinstance(job, SecurityJob):
-        return security_job_to_wire(job)
-    if isinstance(job, CampaignJob):
-        return campaign_job_to_wire(job)
-    raise TypeError(f"not a runner job: {type(job).__name__}")
-
-
-def any_job_from_wire(data: dict) -> Union[Job, "SecurityJob", "CampaignJob"]:
-    """Decode any job flavour (dispatch on the ``kind`` field)."""
-    kind = data.get("kind") if isinstance(data, dict) else None
-    if kind == "sim":
-        return job_from_wire(data)
-    if kind == "security":
-        return security_job_from_wire(data)
-    if kind == "campaign":
-        return campaign_job_from_wire(data)
-    raise ValueError(f"unknown job wire kind {kind!r}")
-
-
 def job_key(
     job: Job,
     config: SystemConfig,
@@ -390,7 +268,8 @@ def cache_size_limit_bytes() -> Optional[int]:
 
 
 class ResultCache:
-    """Directory of ``<key>.json`` files, one per completed simulation,
+    """Directory of ``<key>.json`` files, one per completed job of any
+    kind (the value sits under the kind's :attr:`JobKind.entry` field),
     plus ``<key>.seg-<boundary>.ckpt.gz`` segment snapshots for resumable
     jobs.
 
@@ -568,60 +447,34 @@ class ResultCache:
         except OSError:
             pass
 
-    def get(self, key: str) -> Optional[SimulationResult]:
-        """Look up one result; None (a miss) if absent, corrupt, or stale.
+    def get(self, key: str, kind: str = "sim") -> Any:
+        """Look up one cached value of job kind ``kind`` (see
+        :data:`JOB_KINDS`); None (a miss) if absent, corrupt, stale, or
+        stored under another kind.
 
         A hit refreshes the file's mtime, which is what :meth:`prune`
         orders eviction by — entries that keep answering stay resident.
         """
+        spec = JOB_KINDS[kind]
         self._touch(key)
         try:
             with open(self._path(key)) as f:
                 data = json.load(f)
             if data.get("schema") != self.schema_version:
                 raise ValueError("schema mismatch")
-            result = result_from_dict(data["result"])
+            value = spec.decode(data[spec.entry])
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             return None
         self.hits += 1
-        return result
+        return value
 
-    def put(self, key: str, result: SimulationResult) -> None:
-        """Store one result under ``key`` (atomic rename, crash-safe)."""
+    def put(self, key: str, value: Any, kind: str = "sim") -> None:
+        """Store one value of job kind ``kind`` under ``key`` (atomic
+        rename, crash-safe)."""
+        spec = JOB_KINDS[kind]
         os.makedirs(self.directory, exist_ok=True)
-        payload = {"schema": self.schema_version, "result": result_to_dict(result)}
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(payload, f, separators=(",", ":"))
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def get_campaign(self, key: str) -> Optional[dict]:
-        """Look up one campaign cell record (the bisection's full result)."""
-        self._touch(key)
-        try:
-            with open(self._path(key)) as f:
-                data = json.load(f)
-            if data.get("schema") != self.schema_version:
-                raise ValueError("schema mismatch")
-            raw = data["campaign"]
-            if not isinstance(raw, dict):
-                raise ValueError("malformed campaign entry")
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return raw
-
-    def put_campaign(self, key: str, result: dict) -> None:
-        """Store one campaign cell record under ``key`` (atomic)."""
-        os.makedirs(self.directory, exist_ok=True)
-        payload = {"schema": self.schema_version, "campaign": result}
+        payload = {"schema": self.schema_version, spec.entry: spec.encode(value)}
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
@@ -634,34 +487,19 @@ class ResultCache:
 
     def get_security(self, key: str) -> Optional[List[dict]]:
         """Look up one security batch (list of per-seed stat dicts)."""
-        self._touch(key)
-        try:
-            with open(self._path(key)) as f:
-                data = json.load(f)
-            if data.get("schema") != self.schema_version:
-                raise ValueError("schema mismatch")
-            raw = data["security"]
-            if not isinstance(raw, list):
-                raise ValueError("malformed security entry")
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return raw
+        return self.get(key, "security")
 
     def put_security(self, key: str, results: List[dict]) -> None:
-        """Store one security batch under ``key`` (atomic, crash-safe)."""
-        os.makedirs(self.directory, exist_ok=True)
-        payload = {"schema": self.schema_version, "security": results}
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(payload, f, separators=(",", ":"))
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        """Store one security batch under ``key``."""
+        self.put(key, results, "security")
+
+    def get_campaign(self, key: str) -> Optional[dict]:
+        """Look up one campaign cell record (the bisection's full result)."""
+        return self.get(key, "campaign")
+
+    def put_campaign(self, key: str, result: dict) -> None:
+        """Store one campaign cell record under ``key``."""
+        self.put(key, result, "campaign")
 
     def __len__(self) -> int:
         try:
@@ -736,35 +574,25 @@ def latest_segment_snapshot(cache: ResultCache, key: str):
     return None
 
 
-#: Backwards-compatible private alias (pre-service name).
-_latest_segment_snapshot = latest_segment_snapshot
-
-
 def build_sim_payload(
-    job: Job,
-    config: SystemConfig,
-    requests: int,
-    key: str,
-    cache_dir: Optional[str] = None,
-    schema_version: int = CACHE_SCHEMA_VERSION,
-    resume: bool = False,
+    job: Job, key: str, ctx: "RunContext", resume: bool = False
 ) -> tuple:
-    """The picklable worker payload for one simulation job.
+    """The picklable :func:`_execute` payload for one simulation job.
 
-    Shared by :meth:`ExperimentRunner._payload` and the sweep-service
-    worker spawner, so a daemon-executed job is fed to :func:`_execute`
-    exactly as an in-process one would be. ``cache_dir=None`` disables
-    segment snapshots (the job degrades to a straight run).
+    The ``sim`` kind's payload builder, so a daemon-executed job is fed to
+    :func:`_execute` exactly as an in-process one would be. Without a
+    cache directory there is nowhere to persist segment snapshots, so a
+    segmented job degrades to a straight run (results are identical).
     """
-    resolved = job.requests if job.requests is not None else requests
+    resolved = job.requests if job.requests is not None else ctx.requests
     ckpt = None
-    if job.segment_cycles is not None and cache_dir is not None:
+    if job.segment_cycles is not None and ctx.cache_dir is not None:
         ckpt = {
             "segment_cycles": job.segment_cycles,
             "resume": resume,
-            "cache_dir": cache_dir,
+            "cache_dir": ctx.cache_dir,
             "key": key,
-            "schema": schema_version,
+            "schema": ctx.schema_version,
         }
     return (
         job.workload,
@@ -772,7 +600,7 @@ def build_sim_payload(
         job.mapping,
         resolved,
         job.seed,
-        config,
+        ctx.config,
         job.obs,
         ckpt,
         job.backend,
@@ -801,7 +629,7 @@ def _execute_segmented(payload: tuple) -> SimulationResult:
     system = None
     resumed_from = None
     if ckpt["resume"]:
-        snapshot = _latest_segment_snapshot(cache, key)
+        snapshot = latest_segment_snapshot(cache, key)
         if snapshot is not None:
             system = restore(snapshot)
             resumed_from = snapshot.boundary
@@ -1064,6 +892,174 @@ def _execute_campaign(
     return run_campaign_cell(job, cache_dir=cache_dir, key=key)
 
 
+# ----------------------------------------------------------------------
+# Job kinds — one record per kind, and the one registry every layer
+# (runner, cache, wire codec, daemon, workers) dispatches through.
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class RunContext:
+    """What keys and feeds a job besides the job itself."""
+
+    config: SystemConfig
+    #: Default slice for sim jobs whose ``requests`` is None.
+    requests: int
+    schema_version: int
+    #: Where segment snapshots / campaign frontiers persist (None: no cache).
+    cache_dir: Optional[str]
+
+
+@dataclass(frozen=True)
+class JobKind:
+    """How the jobs of one kind are keyed, executed, cached and shipped."""
+
+    #: The wire ``kind`` and the daemon status ``kind``.
+    name: str
+    job_type: type
+    #: Field of the cache entry the kind's value is stored under.
+    entry: str
+    #: ``(job, ctx) -> cache key``: the kind's key function.
+    key: Callable[[Any, RunContext], str]
+    #: ``(job, key, ctx, resume) -> picklable payload`` for :attr:`execute`.
+    payload: Callable[[Any, str, RunContext, bool], Any]
+    #: Module-level worker entry point: ``payload -> value``.
+    execute: Callable[[Any], Any]
+    #: ``value -> JSON`` (cache entry and daemon result) and its inverse.
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+
+
+def _sim_key(job: Job, ctx: RunContext) -> str:
+    requests = job.requests if job.requests is not None else ctx.requests
+    return job_key(job, ctx.config, requests, ctx.schema_version)
+
+
+def _checked(expected: type) -> Callable[[Any], Any]:
+    """Decoder for a kind cached as plain JSON: only checks its shape."""
+    def decode(raw: Any) -> Any:
+        if not isinstance(raw, expected):
+            raise ValueError(f"malformed cache entry: not a {expected.__name__}")
+        return raw
+    return decode
+
+
+#: Every job kind by name.
+JOB_KINDS: Dict[str, JobKind] = {kind.name: kind for kind in (
+    JobKind(
+        name="sim", job_type=Job, entry="result",
+        key=_sim_key,
+        payload=build_sim_payload,
+        execute=_execute,
+        encode=result_to_dict, decode=result_from_dict,
+    ),
+    JobKind(
+        name="security", job_type=SecurityJob, entry="security",
+        key=lambda job, ctx: security_job_key(job, ctx.schema_version),
+        payload=lambda job, key, ctx, resume: job,
+        execute=_execute_security,
+        encode=lambda value: value, decode=_checked(list),
+    ),
+    JobKind(
+        name="campaign", job_type=CampaignJob, entry="campaign",
+        key=lambda job, ctx: campaign_job_key(job, ctx.schema_version),
+        payload=lambda job, key, ctx, resume: (
+            job, ctx.cache_dir, key if ctx.cache_dir is not None else None
+        ),
+        execute=_execute_campaign,
+        encode=lambda value: value, decode=_checked(dict),
+    ),
+)}
+
+AnyJob = Union[Job, SecurityJob, CampaignJob]
+
+
+def kind_of(job: AnyJob) -> JobKind:
+    """The registered kind of ``job``."""
+    for kind in JOB_KINDS.values():
+        if type(job) is kind.job_type:
+            return kind
+    raise TypeError(f"not a runner job: {type(job).__name__}")
+
+
+# ----------------------------------------------------------------------
+# Job wire format — jobs as explicit, versioned JSON payloads.
+#
+# The sweep-service daemon (``repro.svc``) receives job descriptions from
+# arbitrary clients over a socket; those payloads must be self-describing
+# (``kind`` + ``schema``) and must round-trip through JSON losslessly, so
+# a daemon-executed job computes the *same cache key* as an in-process
+# one. The codec is derived from each job dataclass's fields: nested
+# dataclasses (MitigationSetup, ObsConfig) travel as dicts and tuples as
+# lists, and the field's type hint turns them back on decode.
+# ----------------------------------------------------------------------
+def _to_wire(value: Any) -> Any:
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    if isinstance(value, tuple):
+        return [_to_wire(item) for item in value]
+    return value
+
+
+def _from_wire(hint: Any, value: Any) -> Any:
+    if value is None:
+        return None
+    args = typing.get_args(hint)
+    origin = typing.get_origin(hint)
+    if origin is Union:  # Optional[X]
+        (hint,) = [arg for arg in args if arg is not type(None)]
+        return _from_wire(hint, value)
+    if dataclasses.is_dataclass(hint):
+        return hint(**value)
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            return tuple(_from_wire(args[0], item) for item in value)
+        return tuple(_from_wire(arg, item) for arg, item in zip(args, value))
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def _field_hints(job_type: type) -> Dict[str, Any]:
+    hints = typing.get_type_hints(job_type)
+    return {f.name: hints[f.name] for f in dataclasses.fields(job_type)}
+
+
+def any_job_to_wire(job: AnyJob) -> dict:
+    """Versioned plain-JSON form of a job of any kind."""
+    wire = {
+        f.name: _to_wire(getattr(job, f.name))
+        for f in dataclasses.fields(job)
+    }
+    wire.update(kind=kind_of(job).name, schema=JOB_WIRE_SCHEMA_VERSION)
+    return wire
+
+
+def any_job_from_wire(data: dict) -> AnyJob:
+    """Inverse of :func:`any_job_to_wire`: validates the kind, the schema
+    version and the field names; a missing field takes its default."""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"job wire payload must be an object, got {type(data).__name__}"
+        )
+    kind = JOB_KINDS.get(data.get("kind"))
+    if kind is None:
+        raise ValueError(f"unknown job wire kind {data.get('kind')!r}")
+    schema = data.get("schema")
+    if schema != JOB_WIRE_SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported job wire schema {schema!r} "
+            f"(this build speaks {JOB_WIRE_SCHEMA_VERSION})"
+        )
+    hints = _field_hints(kind.job_type)
+    fields = {k: v for k, v in data.items() if k not in ("kind", "schema")}
+    unknown = sorted(set(fields) - set(hints))
+    if unknown:
+        raise ValueError(
+            f"unknown {kind.job_type.__name__} wire fields: {unknown}"
+        )
+    return kind.job_type(**{
+        name: _from_wire(hints[name], value) for name, value in fields.items()
+    })
+
+
 #: A setup row for :meth:`ExperimentRunner.slowdown_matrix`:
 #: ``(label, setup, mapping)`` or ``(label, setup, mapping, baseline_mapping)``.
 SetupSpec = Union[
@@ -1073,7 +1069,7 @@ SetupSpec = Union[
 
 
 class ExperimentRunner:
-    """Batch-run simulations with caching and optional parallelism.
+    """Batch-run jobs of every kind with caching and optional parallelism.
 
     ``jobs=None`` re-reads ``REPRO_JOBS`` on every batch, so tests and
     benchmark drivers can flip the env var without rebuilding the runner.
@@ -1104,7 +1100,7 @@ class ExperimentRunner:
         #: Simulations actually executed (not answered from cache).
         self.simulations_run = 0
         #: Wall-clock profile of every batch this runner served: phase
-        #: timings ("plan" = dedup + cache lookup, "execute" = simulation
+        #: timings ("plan" = dedup + cache lookup, "execute" = pool
         #: fan-out) plus cumulative job/cache counts. Informational only —
         #: see :meth:`profile_snapshot` for the exported form.
         self.profile = PhaseProfiler()
@@ -1128,14 +1124,22 @@ class ExperimentRunner:
     def cache_misses(self) -> int:
         return self.cache.misses if self.cache is not None else 0
 
-    def key_for(self, job: Job) -> str:
-        """This runner's cache key for ``job`` (resolving default requests)."""
-        return job_key(
-            job,
-            self.config,
-            job.requests if job.requests is not None else self.requests,
-            self.schema_version,
+    def _context(self) -> RunContext:
+        """The :class:`RunContext` this runner keys and executes under."""
+        return RunContext(
+            config=self.config,
+            requests=self.requests,
+            schema_version=self.schema_version,
+            cache_dir=self.cache.directory if self.cache is not None else None,
         )
+
+    def key_for(self, job: AnyJob) -> str:
+        """This runner's cache key for ``job`` (resolving default requests)."""
+        return kind_of(job).key(job, self._context())
+
+    def campaign_key_for(self, job: CampaignJob) -> str:
+        """This runner's cache key for a campaign cell (backend-blind)."""
+        return self.key_for(job)
 
     def profile_snapshot(self) -> dict:
         """Wall-clock profile of this runner's batches, with provenance
@@ -1156,43 +1160,44 @@ class ExperimentRunner:
         })
 
     # ------------------------------------------------------------------
-    def run(self, job: Job, resume: bool = False) -> SimulationResult:
-        """Run (or fetch) a single job."""
-        return self.run_many([job], resume=resume)[0]
+    def run_jobs(self, jobs: Sequence[AnyJob], resume: bool = False) -> List[Any]:
+        """Run a batch of jobs of any kinds; returns values in job order.
 
-    def run_many(
-        self, jobs: Sequence[Job], resume: bool = False
-    ) -> List[SimulationResult]:
-        """Run a batch of jobs; returns results in job order.
+        Duplicate jobs (every slowdown shares its workload's baseline; a
+        scalar/numpy twin shares its key) execute once; cache hits never
+        reach the pool. Misses fan out across ``self.jobs`` worker
+        processes, one job per worker: a security batch is already
+        vectorized over its seeds, and a campaign cell's probes are
+        sequential by construction, so the job is the parallel grain.
 
-        Duplicate jobs (every slowdown shares its workload's baseline) are
-        simulated once; cache hits never reach the pool. Misses fan out
-        across ``self.jobs`` worker processes.
-
-        ``resume=True`` lets jobs with ``segment_cycles`` restart from
+        ``resume=True`` lets sim jobs with ``segment_cycles`` restart from
         their newest on-disk segment snapshot instead of cycle 0 — the
-        recovery path after a killed sweep. Jobs whose *result* is already
-        cached are unaffected (the cache answers first).
+        recovery path after a killed sweep. Campaign cells given a cache
+        always resume from a persisted seed-pool frontier. Jobs whose
+        value is already cached are unaffected (the cache answers first).
         """
         jobs = list(jobs)
-        results: List[Optional[SimulationResult]] = [None] * len(jobs)
+        ctx = self._context()
+        results: List[Any] = [None] * len(jobs)
 
         with self.profile.phase("plan"):
             # Deduplicate by cache key, then answer what the cache can.
-            order: List[str] = []  # unique keys, first-seen order
+            firsts: Dict[str, Tuple[JobKind, AnyJob]] = {}
             indices: Dict[str, List[int]] = {}
-            payloads: Dict[str, tuple] = {}
             for i, job in enumerate(jobs):
-                key = self.key_for(job)
+                kind = kind_of(job)
+                key = kind.key(job, ctx)
                 if key not in indices:
-                    order.append(key)
+                    firsts[key] = (kind, job)
                     indices[key] = []
-                    payloads[key] = self._payload(job, key, resume)
                 indices[key].append(i)
 
             pending: List[str] = []
-            for key in order:
-                cached = self.cache.get(key) if self.cache is not None else None
+            for key, (kind, _) in firsts.items():
+                cached = (
+                    self.cache.get(key, kind.name)
+                    if self.cache is not None else None
+                )
                 if cached is not None:
                     for i in indices[key]:
                         results[i] = cached
@@ -1200,27 +1205,31 @@ class ExperimentRunner:
                     pending.append(key)
 
         with self.profile.phase("execute"):
-            executed = self._execute_batch(
-                [payloads[key] for key in pending]
-            )
-        for key, result in zip(pending, executed):
+            calls = []
+            for key in pending:
+                kind, job = firsts[key]
+                calls.append((kind.execute, kind.payload(job, key, ctx, resume)))
+            executed = self._execute_batch(calls)
+        for key, value in zip(pending, executed):
             if self.cache is not None:
-                self.cache.put(key, result)
+                self.cache.put(key, value, firsts[key][0].name)
             for i in indices[key]:
-                results[i] = result
+                results[i] = value
 
+        self.simulations_run += sum(
+            1 for key in pending if firsts[key][0].name == "sim"
+        )
         self.profile.count("jobs", len(jobs))
-        self.profile.count("unique_jobs", len(order))
+        self.profile.count("unique_jobs", len(firsts))
         self.profile.count("executed", len(pending))
         self.profile.set_count("cache_hits", self.cache_hits)
         self.profile.set_count("cache_misses", self.cache_misses)
-        captures = sum(
-            r.ckpt["captured"] for r in executed if r.ckpt is not None
-        )
-        resumes = sum(
-            1 for r in executed
-            if r.ckpt is not None and r.ckpt["resumed_from"] is not None
-        )
+        ckpts = [
+            value.ckpt for value in executed
+            if getattr(value, "ckpt", None) is not None
+        ]
+        captures = sum(ckpt["captured"] for ckpt in ckpts)
+        resumes = sum(1 for ckpt in ckpts if ckpt["resumed_from"] is not None)
         if captures:
             self.profile.count("ckpt_captures", captures)
         if resumes:
@@ -1228,38 +1237,29 @@ class ExperimentRunner:
         if self.cache is not None:
             self.cache.prune_to_limit()
 
-        return results  # type: ignore[return-value]
+        return results
 
-    def _payload(self, job: Job, key: str, resume: bool = False) -> tuple:
-        # Segment snapshots are content-addressed into the result cache;
-        # without a cache there is nowhere to persist them, so the job
-        # degrades to a straight run (results are identical).
-        return build_sim_payload(
-            job,
-            self.config,
-            self.requests,
-            key,
-            cache_dir=self.cache.directory if self.cache is not None else None,
-            schema_version=self.schema_version,
-            resume=resume,
-        )
-
-    def _execute_batch(self, payloads: List[tuple]) -> List[SimulationResult]:
-        if not payloads:
+    def _execute_batch(
+        self, calls: List[Tuple[Callable[[Any], Any], Any]]
+    ) -> List[Any]:
+        if not calls:
             return []
-        self.simulations_run += len(payloads)
-        workers = min(self.jobs, len(payloads))
+        workers = min(self.jobs, len(calls))
         if workers <= 1:
-            return [_execute(p) for p in payloads]
+            return [execute(payload) for execute, payload in calls]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_execute, payloads))
+            futures = [pool.submit(execute, payload) for execute, payload in calls]
+            return [future.result() for future in futures]
 
-    # ------------------------------------------------------------------
-    # Security batches (vectorized Monte-Carlo attack replays)
-    # ------------------------------------------------------------------
-    def security_key_for(self, job: SecurityJob) -> str:
-        """This runner's cache key for a security batch (backend-blind)."""
-        return security_job_key(job, self.schema_version)
+    def run(self, job: Job, resume: bool = False) -> SimulationResult:
+        """Run (or fetch) a single simulation."""
+        return self.run_jobs([job], resume=resume)[0]
+
+    def run_many(
+        self, jobs: Sequence[Job], resume: bool = False
+    ) -> List[SimulationResult]:
+        """Run a batch of simulations; see :meth:`run_jobs`."""
+        return self.run_jobs(jobs, resume=resume)
 
     def run_security(self, job: SecurityJob) -> List["AttackResult"]:
         """Run (or fetch) one security batch: per-seed attack results."""
@@ -1268,154 +1268,19 @@ class ExperimentRunner:
     def run_security_many(
         self, jobs: Sequence[SecurityJob]
     ) -> List[List["AttackResult"]]:
-        """Run security batches; returns per-job lists of per-seed results.
-
-        Same shape as :meth:`run_many`: duplicates (and scalar/numpy twins
-        of the same job — the backend is not part of the key) collapse to
-        one execution, cache hits never reach the pool, and misses fan out
-        across ``REPRO_JOBS`` workers one *batch* per worker (each batch is
-        already vectorized over its seeds, so the job is the right
-        parallel grain). Results carry ``pressure == {}``; use
+        """Run security batches; per-job lists of per-seed results. They
+        carry ``pressure == {}``; use
         :func:`repro.security.kernels.run_attack_batch` directly when the
-        per-row pressure map matters.
-        """
-        jobs = list(jobs)
-        results: List[Optional[List[dict]]] = [None] * len(jobs)
-
-        with self.profile.phase("plan"):
-            order: List[str] = []
-            indices: Dict[str, List[int]] = {}
-            by_key: Dict[str, SecurityJob] = {}
-            for i, job in enumerate(jobs):
-                key = self.security_key_for(job)
-                if key not in indices:
-                    order.append(key)
-                    indices[key] = []
-                    by_key[key] = job
-                indices[key].append(i)
-
-            pending: List[str] = []
-            for key in order:
-                cached = (
-                    self.cache.get_security(key)
-                    if self.cache is not None else None
-                )
-                if cached is not None:
-                    for i in indices[key]:
-                        results[i] = cached
-                else:
-                    pending.append(key)
-
-        with self.profile.phase("execute"):
-            todo = [by_key[key] for key in pending]
-            if not todo:
-                executed: List[List[dict]] = []
-            else:
-                workers = min(self.jobs, len(todo))
-                if workers <= 1:
-                    executed = [_execute_security(j) for j in todo]
-                else:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        executed = list(pool.map(_execute_security, todo))
-        for key, raw in zip(pending, executed):
-            if self.cache is not None:
-                self.cache.put_security(key, raw)
-            for i in indices[key]:
-                results[i] = raw
-
-        self.profile.count("security_jobs", len(jobs))
-        self.profile.count("security_executed", len(pending))
-        self.profile.set_count("cache_hits", self.cache_hits)
-        self.profile.set_count("cache_misses", self.cache_misses)
-        if self.cache is not None:
-            self.cache.prune_to_limit()
-
-        return [
-            _security_results_from_dicts(raw)  # type: ignore[arg-type]
-            for raw in results
-        ]
-
-    # ------------------------------------------------------------------
-    # Threshold-campaign cells (SPRT bisection over the batched kernels)
-    # ------------------------------------------------------------------
-    def campaign_key_for(self, job: CampaignJob) -> str:
-        """This runner's cache key for a campaign cell (backend-blind)."""
-        return campaign_job_key(job, self.schema_version)
+        per-row pressure map matters."""
+        return [_security_results_from_dicts(raw) for raw in self.run_jobs(jobs)]
 
     def run_campaign(self, job: CampaignJob) -> dict:
         """Run (or fetch) one campaign cell's threshold search."""
-        return self.run_campaign_many([job])[0]
+        return self.run_jobs([job])[0]
 
     def run_campaign_many(self, jobs: Sequence[CampaignJob]) -> List[dict]:
-        """Run campaign cells; returns per-cell result records in order.
-
-        Same shape as :meth:`run_security_many`: duplicates collapse to
-        one search, cached cells never reach the pool, and misses fan out
-        one *cell* per worker (each cell's probes are sequential by
-        construction — later probes reuse the pool earlier probes grew —
-        so the cell is the parallel grain). Cells given a cache also
-        persist their seed-pool frontier there mid-search, making a
-        killed campaign resumable from the last pool extension.
-        """
-        jobs = list(jobs)
-        results: List[Optional[dict]] = [None] * len(jobs)
-
-        with self.profile.phase("plan"):
-            order: List[str] = []
-            indices: Dict[str, List[int]] = {}
-            by_key: Dict[str, CampaignJob] = {}
-            for i, job in enumerate(jobs):
-                key = self.campaign_key_for(job)
-                if key not in indices:
-                    order.append(key)
-                    indices[key] = []
-                    by_key[key] = job
-                indices[key].append(i)
-
-            pending: List[str] = []
-            for key in order:
-                cached = (
-                    self.cache.get_campaign(key)
-                    if self.cache is not None else None
-                )
-                if cached is not None:
-                    for i in indices[key]:
-                        results[i] = cached
-                else:
-                    pending.append(key)
-
-        with self.profile.phase("execute"):
-            cache_dir = (
-                self.cache.directory if self.cache is not None else None
-            )
-            payloads = [
-                (by_key[key], cache_dir,
-                 key if cache_dir is not None else None)
-                for key in pending
-            ]
-            if not payloads:
-                executed: List[dict] = []
-            else:
-                workers = min(self.jobs, len(payloads))
-                if workers <= 1:
-                    executed = [_execute_campaign(p) for p in payloads]
-                else:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        executed = list(pool.map(_execute_campaign, payloads))
-        for key, record in zip(pending, executed):
-            if self.cache is not None:
-                self.cache.put_campaign(key, record)
-            for i in indices[key]:
-                results[i] = record
-
-        self.profile.count("campaign_cells", len(jobs))
-        self.profile.count("campaign_executed", len(pending))
-        self.profile.set_count("cache_hits", self.cache_hits)
-        self.profile.set_count("cache_misses", self.cache_misses)
-        if self.cache is not None:
-            self.cache.prune_to_limit()
-
-        return results  # type: ignore[return-value]
+        """Run campaign cells; per-cell result records in order."""
+        return self.run_jobs(jobs)
 
     # ------------------------------------------------------------------
     def slowdown_matrix(

@@ -933,11 +933,16 @@ def cmd_result(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(response["result"], indent=2, sort_keys=True))
         return 0
+    result = response["result"]
     if response["kind"] == "sim":
         tag = "cache hit" if response["from_cache"] else "executed"
-        _print_sim_result_dict(f"{args.id} ({tag})", response["result"])
+        _print_sim_result_dict(f"{args.id} ({tag})", result)
+    elif response["kind"] == "campaign":
+        print(f"{args.id}: tolerated threshold "
+              f"{result['tolerated_threshold']} after "
+              f"{len(result['probes'])} probe(s)")
     else:
-        pressures = [r["max_pressure"] for r in response["result"]]
+        pressures = [r["max_pressure"] for r in result]
         print(f"{args.id}: {len(pressures)} seed(s), worst pressure "
               f"{max(pressures):.1f}")
     return 0

@@ -24,9 +24,8 @@ the full ``src/repro`` tree through one call graph per run:
 * **cache-key** (``KEY001``/``KEY002``) — every job field read on the
   execution path reaches its cache key, or is declared
   ``# repro: key-blind[field]``;
-* **wire-schema** (``WIRE001``/``WIRE002``) — job dataclasses round-trip
-  through their ``*_to_wire``/``*_from_wire`` twins, and daemon/client
-  agree on the protocol op set;
+* **wire-schema** (``WIRE002``) — daemon and client agree on the
+  protocol op set;
 * **checkpoint-flow** (``CKPT002``) — self-attributes written by helpers
   the object escapes to are covered by the ``@checkpointable`` contract;
 * **async-blocking** (``ASYNC001``) — nothing reachable from the

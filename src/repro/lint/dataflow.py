@@ -180,7 +180,7 @@ def _writes_on(info: FunctionInfo, param: str) -> Iterator[AttributeAccess]:
 
 
 # ----------------------------------------------------------------------
-# Key-function field coverage (shared by KEY001 and WIRE001)
+# Key-function field coverage (KEY001)
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -239,34 +239,6 @@ def field_coverage(
     if saw_asdict:
         covered |= fields - _unconditional_pops(info)
     return FieldCoverage(covered=covered, from_asdict=saw_asdict)
-
-
-def constructor_coverage(
-    info: FunctionInfo, class_name: str, fields: Set[str]
-) -> FieldCoverage:
-    """Which ``fields`` a decode function passes to ``class_name(...)``.
-
-    ``Cls(**anything)`` covers every field (the splat carries whatever the
-    wire had); otherwise coverage is the set of explicit keyword names,
-    plus any string subscript/`.get` keys pulled off the wire dict (the
-    ``data["workload"]`` idiom).
-    """
-    covered: Set[str] = set()
-    splat = False
-    for node in own_statements(info.node):
-        if not isinstance(node, ast.Call):
-            continue
-        parts = _call_parts(node)
-        if not parts or parts[-1] != class_name:
-            continue
-        for keyword in node.keywords:
-            if keyword.arg is None:
-                splat = True
-            elif keyword.arg in fields:
-                covered.add(keyword.arg)
-    if splat:
-        covered |= fields
-    return FieldCoverage(covered=covered, from_asdict=splat)
 
 
 def _unconditional_pops(info: FunctionInfo) -> Set[str]:

@@ -14,14 +14,9 @@ from __future__ import annotations
 
 import os
 import socket
-from typing import IO, Dict, List, Optional, Union
+from typing import IO, Dict, List, Optional
 
-from repro.analysis.runner import (
-    CampaignJob,
-    Job,
-    SecurityJob,
-    any_job_to_wire,
-)
+from repro.analysis.runner import AnyJob, any_job_to_wire
 from repro.svc import protocol
 from repro.svc.scheduler import default_socket_path
 
@@ -100,7 +95,7 @@ class SweepClient:
 
     def submit(
         self,
-        jobs: List[Union[Job, SecurityJob, CampaignJob]],
+        jobs: List[AnyJob],
         priority: int = 0,
     ) -> List[str]:
         """Enqueue jobs; returns their daemon-assigned ids, in order."""
@@ -124,9 +119,10 @@ class SweepClient:
     ) -> dict:
         """The job's result payload (blocks until done when ``wait``).
 
-        Returns the full response: ``result`` holds the result dict (sim)
-        or per-seed list (security); ``from_cache`` says whether the
-        daemon answered without executing.
+        Returns the full response: ``kind`` names the job kind and
+        ``result`` holds its value — the result dict (sim), the per-seed
+        list (security) or the cell record (campaign); ``from_cache`` says
+        whether the daemon answered without executing.
         """
         fields: dict = {"id": job_id, "wait": wait}
         if timeout is not None:

@@ -19,7 +19,8 @@ submit    ``jobs`` (list of job wire dicts), ``priority`` (int, default
           0) → ``job_ids``, ``keys``
 status    ``id`` (optional) → ``jobs`` (list of status records)
 result    ``id``, ``wait`` (bool), ``timeout`` (seconds) → ``state``,
-          ``kind``, ``result`` (result dict / security list)
+          ``kind``, ``result`` (sim result dict / security per-seed
+          list / campaign cell record)
 cancel    ``id`` → ``state``
 cache     → ``cache`` (occupancy), ``metrics`` (obs snapshot),
           ``queue_depth``, ``workers``

@@ -34,22 +34,18 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.analysis.runner import (
     CACHE_SCHEMA_VERSION,
-    CampaignJob,
-    Job,
+    JOB_KINDS,
+    AnyJob,
     ResultCache,
-    SecurityJob,
+    RunContext,
     any_job_from_wire,
-    build_sim_payload,
-    campaign_job_key,
     default_cache_dir,
     default_requests,
-    job_key,
-    result_to_dict,
-    security_job_key,
+    kind_of,
 )
 from repro.obs import MetricsRegistry
 from repro.sim.config import SystemConfig
@@ -275,24 +271,11 @@ class SweepService:
         if resume:
             boundaries = self.cache.snapshot_boundaries(record.key)
             record.resumed_from = boundaries[-1] if boundaries else None
-        if record.kind == "sim":
-            payload: object = build_sim_payload(
-                record.job,  # type: ignore[arg-type]
-                self.config,
-                self.requests,
-                record.key,
-                cache_dir=self.cache.directory,
-                schema_version=self.schema_version,
-                resume=resume,
-            )
-        else:
-            # SecurityJob / CampaignJob: picklable as-is; the worker builds
-            # its own execution context (and, for campaigns, resumes from
-            # any frontier file a killed attempt left in the cache dir).
-            payload = record.job
         spec = {
             "kind": record.kind,
-            "payload": payload,
+            "payload": JOB_KINDS[record.kind].payload(
+                record.job, record.key, self._context(), resume
+            ),
             "cache_dir": self.cache.directory,
             "schema": self.schema_version,
             "key": record.key,
@@ -384,25 +367,22 @@ class SweepService:
     # ------------------------------------------------------------------
     # Job identity and result access
     # ------------------------------------------------------------------
-    def key_for(self, job: Union[Job, SecurityJob, CampaignJob]) -> str:
+    def _context(self) -> RunContext:
+        return RunContext(
+            config=self.config,
+            requests=self.requests,
+            schema_version=self.schema_version,
+            cache_dir=self.cache.directory,
+        )
+
+    def key_for(self, job: AnyJob) -> str:
         """The daemon's cache key for ``job`` (same as an in-process run)."""
-        if isinstance(job, Job):
-            requests = (
-                job.requests if job.requests is not None else self.requests
-            )
-            return job_key(job, self.config, requests, self.schema_version)
-        if isinstance(job, CampaignJob):
-            return campaign_job_key(job, self.schema_version)
-        return security_job_key(job, self.schema_version)
+        return kind_of(job).key(job, self._context())
 
     def _cached_payload(self, record: JobRecord) -> Optional[object]:
         """The servable result payload for ``record`` (None on a miss)."""
-        if record.kind == "sim":
-            result = self.cache.get(record.key)
-            return result_to_dict(result) if result is not None else None
-        if record.kind == "campaign":
-            return self.cache.get_campaign(record.key)
-        return self.cache.get_security(record.key)
+        value = self.cache.get(record.key, record.kind)
+        return JOB_KINDS[record.kind].encode(value) if value is not None else None
 
     # ------------------------------------------------------------------
     # Client protocol
@@ -469,13 +449,7 @@ class SweepService:
         decoded = []
         for wire in jobs:
             job = any_job_from_wire(wire)  # raises ValueError on bad wire
-            if isinstance(job, Job):
-                kind = "sim"
-            elif isinstance(job, CampaignJob):
-                kind = "campaign"
-            else:
-                kind = "security"
-            decoded.append((kind, job, self.key_for(job)))
+            decoded.append((kind_of(job).name, job, self.key_for(job)))
         job_ids = []
         keys = []
         for kind, job, key in decoded:

@@ -4,13 +4,12 @@ the crash-visible completion contract.
 A worker is a real ``multiprocessing.Process`` (not a pool member) so the
 daemon can observe its death directly: a SIGKILL'd worker has a negative
 ``exitcode`` instead of wedging a shared pool. The completion contract is
-filesystem-based and idempotent — the worker executes its job through the
-existing runner entry points (:func:`repro.analysis.runner._execute` /
-``_execute_security``) and **publishes the result into the shared
-ResultCache**, then exits 0. The daemon never parses worker stdout; it
-reads the cache. A worker that dies mid-job leaves, at worst, the segment
-snapshots it already wrote — which is exactly what the retry path resumes
-from.
+filesystem-based and idempotent — the worker executes its job through its
+kind's runner entry point (:attr:`repro.analysis.runner.JobKind.execute`)
+and **publishes the result into the shared ResultCache**, then exits 0.
+The daemon never parses worker stdout; it reads the cache. A worker that
+dies mid-job leaves, at worst, the segment snapshots it already wrote —
+which is exactly what the retry path resumes from.
 
 Heartbeats: a daemon thread inside the worker touches a per-slot
 heartbeat file every ``interval`` seconds through the quarantined
@@ -49,9 +48,9 @@ def worker_main(spec: dict) -> None:
 
     ``spec`` fields:
 
-    * ``kind`` — ``"sim"``, ``"security"``, or ``"campaign"``
-    * ``payload`` — the :func:`repro.analysis.runner._execute` tuple
-      (sim) or the job dataclass itself (security / campaign)
+    * ``kind`` — a :data:`repro.analysis.runner.JOB_KINDS` name
+    * ``payload`` — what that kind's ``payload`` builder made for its
+      ``execute`` entry point
     * ``cache_dir`` / ``schema`` / ``key`` — where to publish the result
     * ``heartbeat`` — heartbeat file path (optional)
     * ``interval`` — seconds between heartbeat touches
@@ -61,12 +60,7 @@ def worker_main(spec: dict) -> None:
     worker's retry resumes the bisection from the last pool extension —
     the campaign twin of resuming a sim from its segment snapshots.
     """
-    from repro.analysis.runner import (
-        ResultCache,
-        _execute,
-        _execute_campaign,
-        _execute_security,
-    )
+    from repro.analysis.runner import JOB_KINDS, ResultCache
 
     stop = threading.Event()
     beat: Optional[threading.Thread] = None
@@ -79,20 +73,9 @@ def worker_main(spec: dict) -> None:
         )
         beat.start()
     try:
+        value = JOB_KINDS[spec["kind"]].execute(spec["payload"])
         cache = ResultCache(spec["cache_dir"], spec["schema"])
-        if spec["kind"] == "sim":
-            result = _execute(spec["payload"])
-            cache.put(spec["key"], result)
-        elif spec["kind"] == "security":
-            raw = _execute_security(spec["payload"])
-            cache.put_security(spec["key"], raw)
-        elif spec["kind"] == "campaign":
-            record = _execute_campaign(
-                (spec["payload"], spec["cache_dir"], spec["key"])
-            )
-            cache.put_campaign(spec["key"], record)
-        else:
-            raise ValueError(f"unknown worker kind {spec['kind']!r}")
+        cache.put(spec["key"], value, spec["kind"])
     finally:
         stop.set()
         if beat is not None:

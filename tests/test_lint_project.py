@@ -5,14 +5,14 @@ Four layers of coverage:
 * unit tests of :mod:`repro.lint.graph` (symbol table, call resolution,
   package-scoped reachability) and :mod:`repro.lint.dataflow` (tracked
   parameter closures, field coverage) on small fixture trees;
-* positive/negative fixtures per rule (KEY001/002, WIRE001/002, CKPT002,
+* positive/negative fixtures per rule (KEY001/002, WIRE002, CKPT002,
   ASYNC001) through the ``lint_project`` helper;
 * discovery pins on the real tree: the passes must actually *find* the
   Job/SecurityJob/CampaignJob contracts and the svc async roots — a pass
   that silently no-ops would otherwise look identical to a clean tree;
 * end-to-end mutation tests: copy ``src/repro`` to a temp dir, seed one
-  real violation (drop a field from ``job_to_wire``, add a blocking call
-  to the scheduler, strip a key-blind pragma), and assert the full
+  real violation (add a blocking call to the scheduler, strip a
+  key-blind pragma, drop a daemon op branch), and assert the full
   ``run_lint`` + committed-baseline pipeline flips to failing — exactly
   the CI exit-1 contract.
 """
@@ -36,7 +36,6 @@ from repro.lint import (
 from repro.lint.base import ModuleSource
 from repro.lint.dataflow import (
     attribute_reads,
-    constructor_coverage,
     escaped_attribute_writes,
     field_coverage,
 )
@@ -217,35 +216,6 @@ def whole(rec: Rec, skip: bool):
     assert whole.from_asdict
 
 
-def test_constructor_coverage_kwargs_vs_splat():
-    files = {
-        "src/repro/analysis/ctor.py": '''
-from dataclasses import dataclass
-
-@dataclass
-class Rec:
-    a: int = 0
-    b: int = 0
-
-def narrow(data):
-    return Rec(a=data["a"])
-
-def splat(data):
-    return Rec(**data)
-''',
-    }
-    project = build_project(modules_from(files))
-    fields = {"a", "b"}
-    narrow = constructor_coverage(
-        project.functions["analysis.ctor.narrow"], "Rec", fields
-    )
-    assert narrow.covered == {"a"}
-    splat = constructor_coverage(
-        project.functions["analysis.ctor.splat"], "Rec", fields
-    )
-    assert splat.covered == fields
-
-
 def test_escaped_writes_are_seen_and_own_methods_are_not():
     files = {
         "src/repro/mc/owner.py": '''
@@ -358,69 +328,6 @@ def run(job: SecurityJob):
     key = [f for f in lint_project(files) if f.rule_id == "KEY001"]
     assert len(key) == 1
     assert "SecurityJob.backend" in key[0].message
-
-
-# ----------------------------------------------------------------------
-# WIRE001 fixtures
-# ----------------------------------------------------------------------
-
-WIRE_OK = {
-    "src/repro/analysis/wf.py": '''
-from dataclasses import dataclass
-
-@dataclass(frozen=True)
-class Job:
-    workload: str = "x"
-    seed: int = 0
-
-def job_to_wire(job: Job) -> dict:
-    return {"kind": "sim", "workload": job.workload, "seed": job.seed}
-
-def job_from_wire(data: dict) -> Job:
-    return Job(workload=data["workload"], seed=data["seed"])
-''',
-}
-
-
-def test_wire001_clean_on_covering_codecs():
-    assert "WIRE001" not in rules_hit(WIRE_OK)
-
-
-def test_wire001_flags_field_missing_from_encoder():
-    files = {
-        "src/repro/analysis/wf.py": WIRE_OK[
-            "src/repro/analysis/wf.py"
-        ].replace(' "seed": job.seed}', "}"),
-    }
-    wire = [f for f in lint_project(files) if f.rule_id == "WIRE001"]
-    assert any(
-        "Job.seed" in f.message and "job_to_wire" in f.message for f in wire
-    )
-
-
-def test_wire001_flags_field_missing_from_decoder():
-    files = {
-        "src/repro/analysis/wf.py": WIRE_OK[
-            "src/repro/analysis/wf.py"
-        ].replace(', seed=data["seed"])', ")"),
-    }
-    wire = [f for f in lint_project(files) if f.rule_id == "WIRE001"]
-    assert any(
-        "Job.seed" in f.message and "job_from_wire" in f.message
-        for f in wire
-    )
-
-
-def test_wire001_splat_decoder_covers_everything():
-    files = {
-        "src/repro/analysis/wf.py": WIRE_OK[
-            "src/repro/analysis/wf.py"
-        ].replace(
-            'Job(workload=data["workload"], seed=data["seed"])',
-            "Job(**data)",
-        ),
-    }
-    assert "WIRE001" not in rules_hit(files)
 
 
 # ----------------------------------------------------------------------
@@ -707,18 +614,6 @@ def mutated_tree_result(tmp_path, rel_path, old, new):
     )
 
 
-def test_mutation_dropping_wire_field_fails_the_build(tmp_path):
-    result = mutated_tree_result(
-        tmp_path, "analysis/runner.py",
-        '        "backend": job.backend,\n', "",
-    )
-    assert not result.ok
-    assert any(
-        f.rule_id == "WIRE001" and "Job.backend" in f.message
-        for f in result.new_findings
-    )
-
-
 def test_mutation_blocking_scheduler_call_fails_the_build(tmp_path):
     result = mutated_tree_result(
         tmp_path, "svc/scheduler.py",
@@ -762,7 +657,7 @@ def test_mutation_dropping_shutdown_branch_fails_the_build(tmp_path):
 # ----------------------------------------------------------------------
 
 NEW_RULE_IDS = (
-    "KEY001", "KEY002", "WIRE001", "WIRE002", "CKPT002", "ASYNC001",
+    "KEY001", "KEY002", "WIRE002", "CKPT002", "ASYNC001",
 )
 
 

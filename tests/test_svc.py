@@ -20,12 +20,9 @@ from repro.analysis.runner import (
     Job,
     ResultCache,
     SecurityJob,
+    CampaignJob,
     any_job_from_wire,
     any_job_to_wire,
-    job_from_wire,
-    job_to_wire,
-    security_job_from_wire,
-    security_job_to_wire,
 )
 from repro.analysis.storage import DirectoryLock, LockBusyError
 from repro.mc.setup import MitigationSetup
@@ -147,10 +144,10 @@ class TestJobWire:
             MitigationSetup(mechanism="autorfm", tracker="mint", threshold=4),
             "rubix", 400, 7, segment_cycles=8000, backend="scalar",
         )
-        wire = job_to_wire(job)
+        wire = any_job_to_wire(job)
         assert wire["kind"] == "sim"
         assert wire["schema"] == JOB_WIRE_SCHEMA_VERSION
-        decoded = job_from_wire(json.loads(json.dumps(wire)))
+        decoded = any_job_from_wire(json.loads(json.dumps(wire)))
         assert decoded == job
 
     def test_security_job_round_trips_losslessly(self):
@@ -158,8 +155,8 @@ class TestJobWire:
             acts=2000, window=4, tracker="mint", policy="fractal", seeds=3,
             scenario="abcd_k", scenario_params={"stride": 20},
         )
-        wire = security_job_to_wire(job)
-        decoded = security_job_from_wire(json.loads(json.dumps(wire)))
+        wire = any_job_to_wire(job)
+        decoded = any_job_from_wire(json.loads(json.dumps(wire)))
         assert decoded == job
         assert isinstance(decoded.rows, tuple)
         assert isinstance(decoded.scenario_params, tuple)
@@ -167,28 +164,51 @@ class TestJobWire:
     def test_any_job_dispatches_on_kind(self):
         sim = Job("xz")
         sec = SecurityJob(seeds=2)
+        cell = CampaignJob(max_seeds=50)
         assert any_job_from_wire(any_job_to_wire(sim)) == sim
         assert any_job_from_wire(any_job_to_wire(sec)) == sec
+        assert any_job_from_wire(any_job_to_wire(cell)) == cell
+        with pytest.raises(TypeError, match="not a runner job"):
+            any_job_to_wire(MitigationSetup())
 
     def test_wrong_schema_version_is_refused(self):
-        wire = job_to_wire(Job("xz"))
+        wire = any_job_to_wire(Job("xz"))
         wire["schema"] = JOB_WIRE_SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="schema"):
-            job_from_wire(wire)
+            any_job_from_wire(wire)
 
     def test_wrong_kind_is_refused(self):
-        wire = job_to_wire(Job("xz"))
+        wire = any_job_to_wire(Job("xz"))
         wire["kind"] = "security"
         with pytest.raises(ValueError):
-            job_from_wire(wire)
+            any_job_from_wire(wire)
         with pytest.raises(ValueError, match="kind"):
             any_job_from_wire({"kind": "mystery", "schema": 1})
+        with pytest.raises(ValueError, match="object"):
+            any_job_from_wire(["sim"])
 
     def test_unknown_security_fields_are_refused(self):
-        wire = security_job_to_wire(SecurityJob())
+        wire = any_job_to_wire(SecurityJob())
         wire["surprise"] = 1
         with pytest.raises(ValueError, match="surprise"):
-            security_job_from_wire(wire)
+            any_job_from_wire(wire)
+
+    def test_unknown_sim_fields_are_refused(self):
+        """A misspelt field must not silently decode to the default: a
+        payload with ``sede`` and no ``seed`` would otherwise run seed 1,
+        a different job than the client meant."""
+        wire = any_job_to_wire(Job("xz", seed=7))
+        wire["sede"] = wire.pop("seed")
+        with pytest.raises(ValueError, match="sede"):
+            any_job_from_wire(wire)
+
+    def test_missing_fields_take_their_defaults(self):
+        assert any_job_from_wire(
+            {"kind": "sim", "schema": 1, "workload": "xz"}
+        ) == Job("xz")
+        assert any_job_from_wire(
+            {"kind": "campaign", "schema": 1, "max_seeds": 50}
+        ) == CampaignJob(max_seeds=50)
 
 
 # ----------------------------------------------------------------------

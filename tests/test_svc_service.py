@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.analysis.runner import (
+    CampaignJob,
     ExperimentRunner,
     Job,
     SecurityJob,
@@ -154,8 +155,6 @@ class TestServiceBatch:
     ):
         """A campaign cell served by the daemon equals the in-process
         engine byte-for-byte, and a resubmission is a pure cache hit."""
-        from repro.analysis.runner import CampaignJob
-
         job = CampaignJob(window=4, acts=1200, max_seeds=80)
         with SweepClient(daemon.socket_path) as client:
             (job_id,) = client.submit([job])
@@ -254,6 +253,16 @@ class TestServiceCli:
         # Cancelling a finished job is a no-op state echo.
         assert main(["cancel", "J000000", "--socket", sock]) == 0
         assert "done" in capsys.readouterr().out
+
+        # A campaign cell's result prints its threshold and probe count.
+        cell = CampaignJob(window=4, acts=1000, max_seeds=50)
+        with SweepClient(sock) as client:
+            (cell_id,) = client.submit([cell])
+            record = client.result(cell_id, wait=True, timeout=180)["result"]
+        assert main(["result", cell_id, "--socket", sock]) == 0
+        out = capsys.readouterr().out
+        assert f"tolerated threshold {record['tolerated_threshold']}" in out
+        assert f"after {len(record['probes'])} probe(s)" in out
 
     def test_cli_client_commands_fail_cleanly_without_daemon(
         self, service_dir, capsys

@@ -49,9 +49,12 @@ FLEET_SETUPS = (
 )
 FLEET_SEEDS = (1, 2)
 #: Longer slices than the headline smoke: the kernel pays a fixed
-#: per-lane setup cost (vectorized trace decode), so short runs understate
-#: the steady-state speedup the sweeps actually see.
+#: per-lane setup cost (building its per-core arrays), so short runs
+#: understate the steady-state speedup the sweeps actually see.
 FLEET_REQUESTS = 5000
+#: Iterations of the fixed pure-Python loop of :func:`time_calibration`
+#: (~0.1 s on a 2-core cloud VM).
+CALIBRATION_ITERATIONS = 1_000_000
 
 
 class _CountingEngine(Engine):
@@ -65,17 +68,32 @@ class _CountingEngine(Engine):
         _CountingEngine.last = self
 
 
-def time_simulation(
-    repeats: int = REPEATS, observed: bool = False, locate_cache: bool = True
-):
+def time_calibration(repeats: int = REPEATS) -> float:
+    """min-of-``repeats`` seconds of a fixed pure-Python loop.
+
+    Events/s divided by this loop's rate is a throughput figure that
+    speaks about the simulator's code rather than about the machine it
+    ran on: the obs-overhead gate compares that ratio, timed in one
+    process, against the committed ``events_per_calibration_loop``.
+    """
+    wall = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        acc = 0
+        for i in range(CALIBRATION_ITERATIONS):
+            acc = (acc + i * i) % 1_000_003
+        elapsed = time.perf_counter() - start
+        wall = elapsed if wall is None else min(wall, elapsed)
+    return wall
+
+
+def time_simulation(repeats: int = REPEATS, observed: bool = False):
     """min-of-``repeats`` wall time of the fixed simulation.
 
     Returns ``(wall_seconds, events, result)``. With ``observed`` the run
     carries a full Observability (metrics + trace) so the report can state
     what the instrumentation costs when it is actually on; the headline
     ``events_per_second`` number always comes from the disabled path.
-    ``locate_cache=False`` switches off the controller's line->location
-    memo (``REPRO_LOCATE_CACHE=0``) so the report can quote its speedup.
     """
     config = SystemConfig()
     setup = MitigationSetup(**SETUP)
@@ -84,9 +102,6 @@ def time_simulation(
     )
     original = system.Engine
     system.Engine = _CountingEngine
-    saved_cache_env = os.environ.get("REPRO_LOCATE_CACHE")
-    if not locate_cache:
-        os.environ["REPRO_LOCATE_CACHE"] = "0"
     try:
         wall = None
         for _ in range(repeats):
@@ -104,11 +119,6 @@ def time_simulation(
         events = _CountingEngine.last._seq
     finally:
         system.Engine = original
-        if not locate_cache:
-            if saved_cache_env is None:
-                os.environ.pop("REPRO_LOCATE_CACHE", None)
-            else:
-                os.environ["REPRO_LOCATE_CACHE"] = saved_cache_env
     return wall, events, result
 
 
@@ -198,36 +208,21 @@ def time_lint_full_tree(repeats: int = REPEATS) -> float:
 def run_smoke() -> dict:
     """Time the fixed simulation once; return the metrics dict.
 
-    The three single-run variants are interleaved round by round (plain,
-    observed, no-locate-cache, repeat) for the same reason
-    :func:`time_backends` interleaves its backends: every quoted ratio
-    compares minima that each had a shot at the same quiet windows, so a
-    transient load burst cannot masquerade as overhead.
+    The variants are interleaved round by round (plain, calibration loop,
+    observed) for the same reason :func:`time_backends` interleaves its
+    backends: every quoted ratio compares minima that each had a shot at
+    the same quiet windows, so a transient load burst cannot masquerade as
+    overhead. The single runs are short (~0.5 s), so they get more rounds
+    than the fleet timing.
     """
-    wall = obs_wall = nocache_wall = None
-    # More rounds than the fleet timing: the single runs are short
-    # (~0.5 s), so each needs more shots at an undisturbed window. The
-    # plain/no-locate-cache pair additionally *alternates order* between
-    # rounds: the cache effect is a few percent, which is under the
-    # turbo/thermal drift across one round, so a fixed order would let the
-    # ramp masquerade as (or cancel) the speedup. Minima over enough
-    # alternated rounds converge to the quiet-window cost of each variant.
-    for i in range(4 * REPEATS + 2):
-        if i % 2 == 0:
-            w, events, result = time_simulation(repeats=1)
-            nw, _, _ = time_simulation(repeats=1, locate_cache=False)
-        else:
-            nw, _, _ = time_simulation(repeats=1, locate_cache=False)
-            w, events, result = time_simulation(repeats=1)
-        wall = w if wall is None else min(wall, w)
-        nocache_wall = nw if nocache_wall is None else min(nocache_wall, nw)
+    wall = obs_wall = calibration = None
     for _ in range(2 * REPEATS + 1):
-        # Interleave a plain run so the obs-overhead ratio also compares
-        # minima that shared the same quiet windows.
+        w, events, result = time_simulation(repeats=1)
+        c = time_calibration(repeats=1)
         ow, obs_events, _ = time_simulation(repeats=1, observed=True)
-        w, _, _ = time_simulation(repeats=1)
+        wall = w if wall is None else min(wall, w)
+        calibration = c if calibration is None else min(calibration, c)
         obs_wall = ow if obs_wall is None else min(obs_wall, ow)
-        wall = min(wall, w)
     scalar_wall, batch_wall, fleet_events = time_backends()
     lint_wall = time_lint_full_tree()
     return {
@@ -244,10 +239,7 @@ def run_smoke() -> dict:
         "events": events,
         "wall_seconds": round(wall, 4),
         "events_per_second": round(events / wall, 1),
-        "events_per_second_no_locate_cache": round(events / nocache_wall, 1),
-        "locate_cache_speedup_pct": round(
-            100.0 * (nocache_wall - wall) / nocache_wall, 1
-        ),
+        "events_per_calibration_loop": round(events / wall * calibration, 1),
         "obs_events_per_second": round(obs_events / obs_wall, 1),
         "obs_overhead_pct": round(100.0 * (obs_wall - wall) / wall, 1),
         "sim_cycles": result.stats.cycles,
@@ -288,9 +280,9 @@ def test_perf_smoke():
 
 #: The batch kernel must beat the scalar oracle by at least this factor on
 #: the mixed fleet — the whole point of shipping a second backend. The
-#: floor tracks the *scalar* oracle too: the locate-cache fix sped the
-#: denominator up ~20%, compressing the measured ratio from ~3.7x to ~3x,
-#: so the floor sits below that with headroom for scheduler noise.
+#: ratio tracks the *scalar* oracle too: every speedup of the denominator
+#: (the trace pre-decode shared with the kernel, most recently) compresses
+#: it.
 SPEEDUP_FLOOR = 2.5
 RETRY_ROUNDS = 4  # measure up to this many times; pass if any round passes
 

@@ -126,20 +126,20 @@ def _encode_request(request: Request, owner_ids: Dict[int, str]) -> Dict[str, An
 def _decode_request(
     data: Dict[str, Any], system: SimulatedSystem, owners: Dict[str, Any]
 ) -> Request:
+    # Location is pure function of address and mapping; recompute rather
+    # than serialise.
+    location = system.mapping.locate(data["addr"])
     request = Request(
         core_id=data["core"],
         line_addr=data["addr"],
         is_write=data["write"],
         arrival=data["arrival"],
+        row=location.row,
+        flat_bank=location.flat_bank(system.config.banks_per_subchannel),
         alerts=data["alerts"],
         retry_at=data["retry_at"],
     )
     request._order = data["order"]
-    # Location is pure function of address and mapping; recompute rather
-    # than serialise.
-    location = system.mapping.locate(request.line_addr)
-    request.location = location
-    request.flat_bank = location.flat_bank(system.config.banks_per_subchannel)
     if data["cb"] is not None:
         request.on_complete = _decode_callback(data["cb"], owners)
     return request

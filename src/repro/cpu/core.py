@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional, Sequence
 
 from repro.ckpt.contract import checkpointable
 from repro.mc.request import Request
@@ -50,6 +50,8 @@ from repro.workloads.trace import Trace
         "_dispatch_bound",
         "_retire_cycles",
         "_tail_cycles",
+        "_rows",
+        "_flat_banks",
         "total_instructions",
     ),
     derived=("engine", "submit", "stats", "on_finish"),
@@ -65,6 +67,8 @@ class Core:
         engine: Engine,
         submit: Callable[[Request], None],
         stats: CoreStats,
+        rows: Sequence[int],
+        flat_banks: Sequence[int],
         on_finish: Optional[Callable[[int], None]] = None,
     ):
         self.core_id = core_id
@@ -91,6 +95,9 @@ class Core:
         ]
         self._tail_cycles = -(-trace.tail_instructions // width)
         self.total_instructions = (running if n else 0) + trace.tail_instructions
+        # The trace's decoded DRAM locations (MemoryMapping.locate_array).
+        self._rows = rows
+        self._flat_banks = flat_banks
 
         self._next = 0
         self._mshr_used = 0
@@ -151,6 +158,8 @@ class Core:
                 line_addr=self.trace.addrs[i],
                 is_write=is_write,
                 arrival=now,
+                row=self._rows[i],
+                flat_bank=self._flat_banks[i],
                 on_complete=callback,
             )
         )

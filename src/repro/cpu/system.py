@@ -127,6 +127,7 @@ class SimulatedSystem:
             obs=obs,
         )
         for core_id, trace in enumerate(self.traces):
+            rows, flat_banks = self.mapping.locate_array(trace.addrs)
             self.cores.append(
                 Core(
                     core_id=core_id,
@@ -135,6 +136,8 @@ class SimulatedSystem:
                     engine=self.engine,
                     submit=self.controller.submit,
                     stats=self.stats.cores[core_id],
+                    rows=rows,
+                    flat_banks=flat_banks,
                 )
             )
         self._started = False
@@ -264,6 +267,11 @@ def simulate(
     model (observability, event budget, checkpointing, open-page,
     same-bank refresh, write drain, per-request retry) transparently fall
     back to this scalar path with bit-identical results.
+
+    Both backends decode every trace address up front
+    (:meth:`~repro.mapping.base.MemoryMapping.locate_array`), so an address
+    outside ``[0, config.total_lines)`` raises ``ValueError`` before the
+    first event.
     """
     if backend != "scalar":
         # Imported lazily: repro.sim.batch imports this module.

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.sim.config import SystemConfig
 
@@ -41,8 +44,8 @@ class MemoryMapping(abc.ABC):
     def __init__(self, config: SystemConfig):
         config.validate()
         self.config = config
-        # locate() runs once per memory request; resolve the geometry
-        # constants out of the config's computed properties up front.
+        # Resolve the geometry constants out of the config's computed
+        # properties once.
         self._total_lines = config.total_lines
         self._lines_per_row = config.lines_per_row
         self._banks_per_sc = config.banks_per_subchannel
@@ -51,6 +54,36 @@ class MemoryMapping(abc.ABC):
     @abc.abstractmethod
     def locate(self, line_addr: int) -> LineLocation:
         """Return the location of ``line_addr``."""
+
+    def locate_array(
+        self, line_addrs: Sequence[int]
+    ) -> Tuple[List[int], List[int]]:
+        """Vectorized :meth:`locate` for a whole trace: (rows, flat_banks).
+
+        Element-wise identical to ``locate(a).row`` and
+        ``locate(a).flat_bank(banks_per_subchannel)``: the timing backends
+        decode each trace once through this instead of once per request.
+        Raises the :meth:`locate` ``ValueError`` for the first address
+        outside ``[0, total_lines)``.
+        """
+        addrs = np.asarray(line_addrs, dtype=np.int64)
+        bad = (addrs < 0) | (addrs >= self._total_lines)
+        if bad.any():
+            self._check_range(int(addrs[bad.argmax()]))
+        scrambled = self._scramble_array(addrs)
+        # The _decompose bit slicing on int64 arrays (column is not needed).
+        banks = self._banks_per_sc
+        offset = scrambled % self._lines_per_row
+        page = scrambled // self._lines_per_row
+        subchannel = page % self._num_subchannels
+        row = page // self._num_subchannels // banks
+        flat = subchannel * banks + (offset >> 1) % banks
+        return row.tolist(), flat.tolist()
+
+    def _scramble_array(self, addrs: np.ndarray) -> np.ndarray:
+        """Pre-decomposition address transform of :meth:`locate_array`
+        (identity; Rubix encrypts)."""
+        return addrs
 
     @abc.abstractmethod
     def line_for(self, location: LineLocation) -> int:

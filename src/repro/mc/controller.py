@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.ckpt.contract import checkpointable
 from repro.core.autorfm import AutoRfmEngine
@@ -43,20 +43,10 @@ from repro.sim.cmdlog import (
     VICTIM_REFRESH,
     CommandLog,
 )
-from repro.sim.config import (
-    DEFAULT_LOCATE_CACHE,
-    SystemConfig,
-    locate_cache_capacity,
-)
+from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 from repro.sim.stats import SimStats
-
-
-# The locate-memo env knob (REPRO_LOCATE_CACHE) moved to repro.sim.config,
-# the designated os.environ home (determinism lint DET003); the names stay
-# re-exported here for existing importers.
-__all__ = ["DEFAULT_LOCATE_CACHE", "locate_cache_capacity", "MemoryController"]
 
 
 class _ObsHooks:
@@ -207,8 +197,6 @@ class _ObsHooks:
         "command_log",
         "_obs",
         "_streams",
-        "_locate_cache",
-        "_locate_cache_cap",
     ),
 )
 class MemoryController:
@@ -268,16 +256,6 @@ class MemoryController:
         self.bus_free_at: List[int] = [0] * config.num_subchannels
         self._wakeups: List[Optional[int]] = [None] * n_banks
         self._order = 0
-        # Memoized line->location decode. The mapping is a pure static
-        # function of the line address for the whole run (even Rubix: the
-        # cipher key is fixed at construction), so entries never need
-        # invalidating; the bound only caps memory. Eviction is FIFO in
-        # insertion order — hits pay one dict probe and nothing else (LRU
-        # move-to-end bookkeeping on this path costs more than the decode
-        # it saves). Derived, not state: a restored controller restarts
-        # cold with identical results.
-        self._locate_cache: Dict[int, object] = {}
-        self._locate_cache_cap = locate_cache_capacity()
 
         self.rfm: Optional[RfmController] = None
         self.prac: Optional[PracModel] = None
@@ -388,18 +366,7 @@ class MemoryController:
     # Request entry point
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> None:
-        """Accept a request at the current cycle."""
-        line = request.line_addr
-        cache = self._locate_cache
-        location = cache.get(line)
-        if location is None:
-            location = self.mapping.locate(line)
-            if self._locate_cache_cap:
-                if len(cache) >= self._locate_cache_cap:
-                    cache.pop(next(iter(cache)))
-                cache[line] = location
-        request.location = location
-        request.flat_bank = location.flat_bank(self._banks_per_sc)
+        """Accept a (pre-decoded) request at the current cycle."""
         request._order = self._order
         self._order += 1
         if request.is_write and self.config.write_drain:
@@ -470,7 +437,7 @@ class MemoryController:
             if open_row != NO_ROW and now <= bank.open_until:
                 kept = []
                 for request in queue:
-                    if request.location.row == open_row:
+                    if request.row == open_row:
                         bank.record_hit()
                         self._serve(request, bank, sc, now, hit=True)
                     else:
@@ -517,7 +484,7 @@ class MemoryController:
                 self._wakeup(flat, recent[0] + self._tfaw)
                 return
 
-            row = request.location.row
+            row = request.row
 
             # 4b) BlockHammer: a blacklisted row's ACTs are spaced out.
             if self.blockhammer is not None:
@@ -593,7 +560,7 @@ class MemoryController:
         bank.stats.alerts += 1
         request.alerts += 1
         if self.command_log is not None:
-            self.command_log.record(now, ALERT, flat, request.location.row)
+            self.command_log.record(now, ALERT, flat, request.row)
         if request.alerts > self.stats.max_request_alerts:
             self.stats.max_request_alerts = request.alerts
         tm = self.setup.tm_retry_cycles or bank.autorfm.mitigation_busy_cycles
@@ -609,7 +576,7 @@ class MemoryController:
                 # when the MC will retry.
                 obs.trace_pending.append({
                     "t": now, "kind": "ALERT", "bank": flat,
-                    "row": request.location.row,
+                    "row": request.row,
                     "alerts": request.alerts, "retry_at": retry_time,
                 })
         # The MC precharges the bank so every chip holds the conflicted row

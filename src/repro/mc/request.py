@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.mapping.base import LineLocation
-
 CompletionCallback = Callable[[int], None]
 
 
@@ -14,6 +12,9 @@ CompletionCallback = Callable[[int], None]
 class Request:
     """One 64 B read or write.
 
+    ``row`` and ``flat_bank`` are ``line_addr``'s DRAM location, decoded
+    once per trace by :meth:`~repro.mapping.base.MemoryMapping.locate_array`
+    so the controller never runs the mapping per request.
     ``on_complete`` fires (with the completion cycle) when the data transfer
     finishes; writes are fire-and-forget and usually pass ``None``.
     ``retry_at`` is used by the per-request ALERT-retry ablation; the default
@@ -24,8 +25,8 @@ class Request:
     line_addr: int
     is_write: bool
     arrival: int
-    location: Optional[LineLocation] = None
-    flat_bank: int = -1
+    row: int
+    flat_bank: int
     on_complete: Optional[CompletionCallback] = None
     alerts: int = 0
     retry_at: int = 0

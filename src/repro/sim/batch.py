@@ -4,14 +4,13 @@
 ("lanes") in one process. The scalar engine behind
 :func:`repro.cpu.system.simulate` spends most of its wall clock on Python
 call machinery — ``Engine -> Core -> MemoryController -> Bank`` method
-chains, one ``functools.partial`` and one ``Request`` object per event,
-and a memoized ``mapping.locate`` per request. This module mirrors the
-design of ``repro.security.kernels``: the regular no-LLC fast path
-(post-LLC trace -> controller -> bank timings) is re-expressed as a fused
-interpreter over plain int tuples and parallel arrays, with the address
-decode for a lane's whole trace vectorized up front as numpy array
-programs (``KCipher.encrypt_array`` plus a vectorized Zen bit
-decomposition).
+chains, and one ``functools.partial`` and one ``Request`` object per
+event. This module mirrors the design of ``repro.security.kernels``: the
+regular no-LLC fast path (post-LLC trace -> controller -> bank timings) is
+re-expressed as a fused interpreter over plain int tuples and parallel
+arrays. Both backends decode each trace's addresses once, up front, with
+the same vectorized :meth:`~repro.mapping.base.MemoryMapping.locate_array`
+(so an out-of-range address raises ``ValueError`` before either runs).
 
 Bit-identity contract
 ---------------------
@@ -49,7 +48,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.autorfm import AutoRfmEngine
-from repro.mapping.rubix import RubixMapping
 from repro.mc.blockhammer import BlockHammerLimiter
 from repro.mc.setup import MitigationSetup, build_policy, build_tracker
 from repro.rfm.prac import PracModel, abo_threshold_for, prac_timing
@@ -131,37 +129,6 @@ def _lane_block_reason(
     if setup.per_request_retry:
         return "per-request-retry"
     return None
-
-
-def _decode_locations(config: SystemConfig, mapping, addrs: np.ndarray):
-    """Vectorized ``mapping.locate`` for a whole trace: (rows, flat_banks).
-
-    Mirrors :meth:`repro.mapping.base.MemoryMapping._decompose` on int64
-    arrays; Rubix lanes run the address cipher through
-    :meth:`KCipher.encrypt_array` (element-wise identical to the scalar
-    cipher, cycle-walking included).
-    """
-    if addrs.size and (
-        int(addrs.min()) < 0 or int(addrs.max()) >= config.total_lines
-    ):
-        # The scalar path raises from locate() mid-run; keep that exact
-        # behavior by handing the lane to the oracle.
-        raise _Fallback("address-range")
-    if isinstance(mapping, RubixMapping):
-        scrambled = mapping.cipher.encrypt_array(addrs)
-    else:
-        scrambled = addrs
-    lines_per_row = config.lines_per_row
-    banks = config.banks_per_subchannel
-    nsc = config.num_subchannels
-    offset = scrambled % lines_per_row
-    page = scrambled // lines_per_row
-    bank = (offset >> 1) % banks
-    subchannel = page % nsc
-    page = page // nsc
-    row = page // banks
-    flat = subchannel * banks + bank
-    return row.tolist(), flat.tolist()
 
 
 # Kernel state is transient by design: checkpoint-enabled lanes route to
@@ -296,7 +263,8 @@ class _LaneKernel:  # repro: lint-ignore[CKPT001]
         self.core_writes: List[List[bool]] = []
         self.tail_cycles: List[int] = []
         self.totals: List[int] = []
-        addr_arrays = []
+        self.core_rows: List[List[int]] = []
+        self.core_flats: List[List[int]] = []
         for trace in lane.traces:
             gaps = np.asarray(trace.gaps, dtype=np.int64)
             n = len(trace)
@@ -311,22 +279,10 @@ class _LaneKernel:  # repro: lint-ignore[CKPT001]
             self.totals.append(
                 (int(seq_arr[-1]) if n else 0) + trace.tail_instructions
             )
-            addr_arrays.append(np.asarray(trace.addrs, dtype=np.int64))
-
-        # One vectorized address decode for the lane's whole trace set.
-        concat = (
-            np.concatenate(addr_arrays)
-            if addr_arrays
-            else np.empty(0, dtype=np.int64)
-        )
-        rows_all, flats_all = _decode_locations(config, mapping, concat)
-        self.core_rows: List[List[int]] = []
-        self.core_flats: List[List[int]] = []
-        pos = 0
-        for n in self.core_n:
-            self.core_rows.append(rows_all[pos:pos + n])
-            self.core_flats.append(flats_all[pos:pos + n])
-            pos += n
+            # The same once-per-trace decode the scalar system runs.
+            rows, flats = mapping.locate_array(trace.addrs)
+            self.core_rows.append(rows)
+            self.core_flats.append(flats)
 
     # ------------------------------------------------------------------
     def run(self):
@@ -738,7 +694,7 @@ class _LaneKernel:  # repro: lint-ignore[CKPT001]
                 is_write = writes[i]
                 if not is_write and used >= mshrs:
                     break
-                # Dispatch + submit (locate was precomputed up front).
+                # Dispatch + submit (rows/banks were decoded up front).
                 ni = i + 1
                 c_memreq[core] += 1
                 dtime[i] = now

@@ -25,6 +25,13 @@ def make_mc(small_config, setup=None, keep_running_until=None):
     return engine, mc, stats, running
 
 
+def decoded(mc, line):
+    """``row``/``flat_bank`` of ``line``, as the cores' pre-decode gives them."""
+    location = mc.mapping.locate(line)
+    return dict(row=location.row,
+                flat_bank=location.flat_bank(mc.config.banks_per_subchannel))
+
+
 def submit_read(engine, mc, line, done):
     request = Request(
         core_id=0,
@@ -32,6 +39,7 @@ def submit_read(engine, mc, line, done):
         is_write=False,
         arrival=engine.now,
         on_complete=lambda t: done.append((line, t)),
+        **decoded(mc, line),
     )
     mc.submit(request)
     return request
@@ -103,7 +111,8 @@ class TestBasicService:
         engine.schedule(
             0,
             lambda t: mc.submit(
-                Request(core_id=0, line_addr=0, is_write=True, arrival=0)
+                Request(core_id=0, line_addr=0, is_write=True, arrival=0,
+                        **decoded(mc, 0))
             ),
         )
         running[0] = False

@@ -29,12 +29,15 @@ def build(small_config, setup=None, log=None):
 
 
 def read(engine, mc, line, done):
+    location = mc.mapping.locate(line)
     mc.submit(
         Request(
             core_id=0,
             line_addr=line,
             is_write=False,
             arrival=engine.now,
+            row=location.row,
+            flat_bank=location.flat_bank(mc.config.banks_per_subchannel),
             on_complete=lambda t, l=line: done.append((l, t)),
         )
     )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpu.core import Core
+from repro.mapping import ZenMapping
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
 from repro.sim.stats import CoreStats
@@ -23,12 +24,18 @@ class FixedLatencyMemory:
             self.engine.schedule(self.engine.now + self.latency, request.on_complete)
 
 
+def make_core(trace, config, engine, memory, stats):
+    rows, flat_banks = ZenMapping(config).locate_array(trace.addrs)
+    return Core(0, trace, config, engine, memory.submit, stats,
+                rows, flat_banks)
+
+
 def run_core(trace, config=None, latency=100):
     config = config or SystemConfig(num_cores=1)
     engine = Engine()
     memory = FixedLatencyMemory(engine, latency)
     stats = CoreStats()
-    core = Core(0, trace, config, engine, memory.submit, stats)
+    core = make_core(trace, config, engine, memory, stats)
     core.start()
     engine.run()
     assert core.finished
@@ -83,7 +90,7 @@ class TestCoreLimits:
         trace = Trace(gaps=[0] * n, addrs=list(range(n)), writes=[False] * n)
         engine = Engine()
         memory = FixedLatencyMemory(engine, 1000)
-        core = Core(0, trace, config, engine, memory.submit, CoreStats())
+        core = make_core(trace, config, engine, memory, CoreStats())
         core.start()
         engine.run(until=999)
         # Only 2 reads may be outstanding before the first completion.
@@ -97,7 +104,7 @@ class TestCoreLimits:
         trace = Trace(gaps=[99] * n, addrs=list(range(n)), writes=[False] * n)
         engine = Engine()
         memory = FixedLatencyMemory(engine, 10_000)
-        core = Core(0, trace, config, engine, memory.submit, CoreStats())
+        core = make_core(trace, config, engine, memory, CoreStats())
         core.start()
         engine.run(until=9_999)
         assert len(memory.submissions) <= 2
@@ -107,7 +114,7 @@ class TestCoreLimits:
         trace = Trace(gaps=[399], addrs=[1], writes=[False])
         engine = Engine()
         memory = FixedLatencyMemory(engine, 10)
-        core = Core(0, trace, config, engine, memory.submit, CoreStats())
+        core = make_core(trace, config, engine, memory, CoreStats())
         core.start()
         engine.run()
         # 400 instructions at width 4 -> dispatched at cycle 100.

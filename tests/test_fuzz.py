@@ -7,7 +7,9 @@ invariants that no unit test pins down individually:
 * every read completes and every core finishes (no lost wakeups/deadlocks);
 * the command stream passes the independent timing audit;
 * simulation is bit-identical when repeated;
-* conservation: requests in == row hits + activations (reads+writes)."""
+* conservation: requests in == row hits + activations (reads+writes);
+* the batch backend reproduces the scalar oracle's stats and command log
+  (kernel lanes and fallback lanes alike)."""
 
 import dataclasses
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cpu.system import simulate
 from repro.mc.setup import MitigationSetup
+from repro.sim.batch import SimLane, simulate_batch
 from repro.sim.cmdlog import CommandLog
 from repro.sim.config import SystemConfig
 from repro.workloads.trace import Trace
@@ -95,6 +98,16 @@ class TestFuzzMemorySystem:
             tm = 16 * FUZZ_CONFIG.timing.trc
         violations = log.verify(FUZZ_CONFIG, tm_cycles=tm)
         assert violations == [], violations[:3]
+
+        # Scalar vs batch on the same generated case. No event budget on
+        # the batch lane: a budget would route it to the scalar oracle.
+        batch_log = CommandLog()
+        batch = simulate_batch([SimLane(
+            traces, setup, FUZZ_CONFIG, mapping, seed=3,
+            command_log=batch_log,
+        )])[0]
+        assert batch.stats == stats
+        assert batch_log.records == log.records
 
     @given(requests=request_lists)
     @settings(max_examples=15, deadline=None)

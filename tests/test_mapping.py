@@ -130,3 +130,44 @@ class TestRubixMapping:
             key = (loc.subchannel, loc.bank, loc.row, loc.column)
             assert key not in seen
             seen.add(key)
+
+
+#: Each mapping under both the Table IV geometry and a small one; both line
+#: counts are odd powers of two, so Rubix's cipher cycle-walks in each.
+SMALL = SystemConfig(num_subchannels=2, banks_per_subchannel=4,
+                     rows_per_bank=4096, subarrays_per_bank=16)
+ARRAY_MAPPINGS = [
+    ZenMapping(CONFIG),
+    RubixMapping(CONFIG, key=42),
+    ZenMapping(SMALL),
+    RubixMapping(SMALL, key=7),
+]
+
+
+class TestLocateArray:
+    @pytest.mark.parametrize(
+        "mapping", ARRAY_MAPPINGS,
+        ids=["zen", "rubix", "zen-small", "rubix-small"],
+    )
+    @given(raw=st.lists(st.integers(min_value=0, max_value=1 << 40),
+                        max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_elementwise_locate(self, mapping, raw):
+        total = mapping.config.total_lines
+        addrs = [0, *(a % total for a in raw), total - 1]
+        banks = mapping.config.banks_per_subchannel
+        rows, flat_banks = mapping.locate_array(addrs)
+        assert list(zip(rows, flat_banks)) == [
+            (mapping.locate(a).row, mapping.locate(a).flat_bank(banks))
+            for a in addrs
+        ]
+
+    @pytest.mark.parametrize("mapping", ARRAY_MAPPINGS[:2],
+                             ids=["zen", "rubix"])
+    @pytest.mark.parametrize("bad", [LINES, -1])
+    def test_out_of_range_raises_like_locate(self, mapping, bad):
+        with pytest.raises(ValueError) as scalar:
+            mapping.locate(bad)
+        with pytest.raises(ValueError) as vector:
+            mapping.locate_array([0, bad, LINES + 5])
+        assert str(vector.value) == str(scalar.value)

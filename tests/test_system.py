@@ -7,6 +7,7 @@ from repro.cpu.system import build_mapping
 from repro.mapping import RubixMapping, ZenMapping
 from repro.sim.rng import RngStreams
 from repro.workloads.synthetic import generate_trace
+from repro.workloads.trace import Trace
 
 
 def make_traces(small_config, n=400, pattern="stream", seed=0):
@@ -109,6 +110,18 @@ class TestSimulate:
         traces = make_traces(small_config)[:-1]
         with pytest.raises(ValueError, match="one per core"):
             simulate(traces, MitigationSetup("none"), small_config)
+
+
+    @pytest.mark.parametrize("backend", ["scalar", "batch"])
+    @pytest.mark.parametrize("mapping", ["zen", "rubix"])
+    def test_out_of_range_address_raises(self, small_config, backend, mapping):
+        # Traces are decoded before the first event on both backends.
+        good = Trace(gaps=[0], addrs=[0], writes=[False])
+        bad = Trace(gaps=[0, 0], addrs=[1, small_config.total_lines],
+                    writes=[False, True])
+        with pytest.raises(ValueError, match="outside"):
+            simulate([good, bad], MitigationSetup("none"), small_config,
+                     mapping, backend=backend)
 
 
 class TestBuildMapping:
